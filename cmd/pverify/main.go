@@ -499,8 +499,9 @@ func report(in reportInput) {
 
 	res, opts := in.res, in.opts
 	st := res.Stats
-	fmt.Printf("%s: %s bound %d: %d distinct states, %d transitions, %d search nodes, max depth %d, %d quiescent, %v\n",
-		in.name, opts.Mode, opts.Bound, st.DistinctStates, st.Transitions, st.SearchNodes, st.MaxDepth, st.Quiescent, st.Elapsed.Round(1_000_000))
+	fmt.Printf("%s: %s bound %d: %d distinct states, %d transitions, %d search nodes, max depth %d, %d quiescent, %v (set-up %v)\n",
+		in.name, opts.Mode, opts.Bound, st.DistinctStates, st.Transitions, st.SearchNodes, st.MaxDepth, st.Quiescent,
+		st.Elapsed.Round(1_000_000), res.Setup.Round(1_000_000))
 	if st.ReducedStates > 0 {
 		fmt.Printf("  por: %d nodes reduced to a single machine, %d schedule options pruned\n", st.ReducedStates, st.AmpleSkips)
 	}
@@ -629,6 +630,7 @@ type jsonStats struct {
 	Quiescent      int   `json:"quiescent"`
 	Truncated      bool  `json:"truncated"`
 	ElapsedMS      int64 `json:"elapsed_ms"`
+	SetupMS        int64 `json:"setup_ms"` // part of elapsed_ms: construction to first expanded node
 }
 
 type jsonViolation struct {
@@ -685,6 +687,7 @@ func emitJSON(in reportInput) {
 			Quiescent:      res.Stats.Quiescent,
 			Truncated:      res.Stats.Truncated,
 			ElapsedMS:      res.Stats.Elapsed.Milliseconds(),
+			SetupMS:        res.Setup.Milliseconds(),
 		},
 		VisitedStore: res.StoreStats,
 		Checkpointed: res.Checkpointed,

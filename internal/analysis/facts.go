@@ -222,12 +222,7 @@ type facts struct {
 }
 
 func newFacts(p *ir.Program) *facts {
-	f := &facts{p: p}
-	f.buildContainers()
-	f.machineReachability()
-	f.stateReachability()
-	f.pointsTo()
-	f.collectSites()
+	f := newSiteFacts(p)
 	f.payloadFlow()
 	f.raiseCycles()
 	f.frames()
@@ -237,6 +232,19 @@ func newFacts(p *ir.Program) *facts {
 	f.classify()
 	f.resting()
 	f.pending()
+	return f
+}
+
+// newSiteFacts runs the pipeline up to the send sites — containers,
+// reachability, points-to — which is all PORIndependence reads; the later
+// stages only add fields and never revise these.
+func newSiteFacts(p *ir.Program) *facts {
+	f := &facts{p: p}
+	f.buildContainers()
+	f.machineReachability()
+	f.stateReachability()
+	f.pointsTo()
+	f.collectSites()
 	return f
 }
 

@@ -39,7 +39,7 @@ type PORFacts struct {
 // partial-order reduction. It reuses the analysis pipeline's reachability
 // and points-to facts, so dead machines and dead states contribute nothing.
 func PORIndependence(p *ir.Program) *PORFacts {
-	f := newFacts(p)
+	f := newSiteFacts(p)
 	nm := len(p.Machines)
 	pf := &PORFacts{
 		SendEventsFrom: make([][][]ir.EventSet, nm),
@@ -51,22 +51,20 @@ func PORIndependence(p *ir.Program) *PORFacts {
 		m := mf.m
 		ns := len(m.States)
 		pf.InitState[mi] = m.Init
-		pf.SendEventsFrom[mi] = make([][]ir.EventSet, ns)
 		pf.CreatesFrom[mi] = make([]bool, ns)
 		pf.SpawnsFrom[mi] = make([][]ir.MachineTypeID, ns)
-		for s := range m.States {
-			pf.SendEventsFrom[mi][s] = make([]ir.EventSet, nm)
-		}
 
 		// Direct facts per owner state: what the containers a state can
 		// execute do themselves. Unreachable machines keep empty facts —
-		// no instance of them can exist.
-		directSend := make([][]ir.EventSet, ns)
-		directNew := make([][]bool, ns)
+		// no instance of them can exist. The fixpoint below grows these in
+		// place into the reachable-from facts.
+		send := make([][]ir.EventSet, ns)
+		spawn := make([][]bool, ns)
 		for s := range m.States {
-			directSend[s] = make([]ir.EventSet, nm)
-			directNew[s] = make([]bool, nm)
+			send[s] = make([]ir.EventSet, nm)
+			spawn[s] = make([]bool, nm)
 		}
+		pf.SendEventsFrom[mi] = send
 		if mf.reach {
 			for _, site := range f.sites {
 				if site.from != ir.MachineTypeID(mi) {
@@ -75,7 +73,7 @@ func PORIndependence(p *ir.Program) *PORFacts {
 				for _, o := range site.cont.owners {
 					for ti := range p.Machines {
 						if site.tgt.types[ti] || site.tgt.unknown {
-							directSend[o][ti].Add(site.st.Event)
+							send[o][ti].Add(site.st.Event)
 						}
 					}
 				}
@@ -87,77 +85,77 @@ func PORIndependence(p *ir.Program) *PORFacts {
 				walkStmts(c.body, func(s *ir.Stmt) {
 					if s.Op == ir.SNew {
 						for _, o := range c.owners {
-							directNew[o][s.Machine] = true
+							spawn[o][s.Machine] = true
 						}
 					}
 				})
 			}
 		}
 
-		// Precompute each state's call-edge targets once. The per-state
-		// reachability sweeps below would otherwise rescan every
-		// container's owner list and re-walk its body for every start
-		// state — quadratic in control states, and the dominant cost of
-		// this pass on machines with many states (the USB device model).
-		callEdges := make([][]ir.StateID, ns)
-		for _, c := range mf.conts {
-			var tgts []ir.StateID
-			walkStmts(c.body, func(stm *ir.Stmt) {
-				if stm.Op == ir.SCallState {
-					tgts = append(tgts, stm.State)
-				}
-			})
-			if len(tgts) == 0 {
-				continue
-			}
-			for _, o := range c.owners {
-				callEdges[o] = append(callEdges[o], tgts...)
+		// Reversed goto and call edges. Pops need no edges: at runtime a pop
+		// returns to a lower frame, and the reducer unions facts over every
+		// frame state.
+		preds := make([][]ir.StateID, ns)
+		addEdge := func(from, to ir.StateID) {
+			if n := len(preds[to]); n == 0 || preds[to][n-1] != from {
+				preds[to] = append(preds[to], from)
 			}
 		}
+		for s := range m.States {
+			for _, tr := range m.States[s].Trans {
+				if tr.Kind != ir.TransNone {
+					addEdge(ir.StateID(s), tr.Target)
+				}
+			}
+		}
+		for _, c := range mf.conts {
+			walkStmts(c.body, func(stm *ir.Stmt) {
+				if stm.Op == ir.SCallState {
+					for _, o := range c.owners {
+						addEdge(o, stm.State)
+					}
+				}
+			})
+		}
 
-		// Per-state forward reachability over goto and call edges. Pops
-		// need no edges: at runtime a pop returns to a lower frame, and
-		// the reducer unions facts over every frame state.
-		for s0 := range m.States {
-			r := make([]bool, ns)
-			work := []ir.StateID{ir.StateID(s0)}
-			r[s0] = true
-			visit := func(t ir.StateID) {
-				if !r[t] {
-					r[t] = true
-					work = append(work, t)
-				}
-			}
-			for len(work) > 0 {
-				cur := work[len(work)-1]
-				work = work[:len(work)-1]
-				for _, tr := range m.States[cur].Trans {
-					if tr.Kind != ir.TransNone {
-						visit(tr.Target)
+		// Least fixpoint of facts[s] = direct[s] ∪ ⋃ facts[succ(s)]: a state
+		// whose facts grew is pushed to its predecessors, which are re-queued
+		// only if they grew in turn. Every state starts queued; the cost is
+		// edges × set width, not states × edges.
+		work := make([]ir.StateID, ns)
+		queued := make([]bool, ns)
+		for s := range work {
+			work[s] = ir.StateID(s)
+			queued[s] = true
+		}
+		for len(work) > 0 {
+			s := work[len(work)-1]
+			work = work[:len(work)-1]
+			queued[s] = false
+			for _, pr := range preds[s] {
+				grew := false
+				for ti := range send[s] {
+					if send[pr][ti].UnionWith(send[s][ti]) {
+						grew = true
 					}
 				}
-				for _, t := range callEdges[cur] {
-					visit(t)
-				}
-			}
-			spawned := make([]bool, nm)
-			for s := range m.States {
-				if !r[s] {
-					continue
-				}
-				for ti := range p.Machines {
-					pf.SendEventsFrom[mi][s0][ti] = pf.SendEventsFrom[mi][s0][ti].Union(directSend[s][ti])
-				}
-				for ti, ok := range directNew[s] {
-					if ok {
-						pf.CreatesFrom[mi][s0] = true
-						spawned[ti] = true
+				for ti, ok := range spawn[s] {
+					if ok && !spawn[pr][ti] {
+						spawn[pr][ti] = true
+						grew = true
 					}
 				}
+				if grew && !queued[pr] {
+					queued[pr] = true
+					work = append(work, pr)
+				}
 			}
-			for ti, ok := range spawned {
+		}
+		for s := range m.States {
+			for ti, ok := range spawn[s] {
 				if ok {
-					pf.SpawnsFrom[mi][s0] = append(pf.SpawnsFrom[mi][s0], ir.MachineTypeID(ti))
+					pf.CreatesFrom[mi][s] = true
+					pf.SpawnsFrom[mi][s] = append(pf.SpawnsFrom[mi][s], ir.MachineTypeID(ti))
 				}
 			}
 		}

@@ -184,9 +184,12 @@ func TestChaosSampleExpectations(t *testing.T) {
 }
 
 // Hashed and exact fingerprints, and the serial and parallel explorers,
-// must agree on the distinct-state count and fault-step count with chaos
-// on — the fault-qualified visited keys behave identically in all four
-// combinations.
+// must agree on the distinct-state count with chaos on — the fault-qualified
+// visited keys behave identically in all four combinations. The two serial
+// combinations must also agree on the fault-step count. The parallel ones
+// need not: FaultSteps, like Transitions, counts work per expanded node, and
+// a parallel search re-expands a state it first claimed at a higher delay
+// count when a cheaper path lands later — how often depends on worker timing.
 func TestChaosSchemeAndSchedulerAgreement(t *testing.T) {
 	for _, name := range []string{"pingpong", "switchled"} {
 		name := name
@@ -223,7 +226,7 @@ func TestChaosSchemeAndSchedulerAgreement(t *testing.T) {
 					t.Errorf("exact=%v workers=%d: distinct states %d, want %d",
 						c.exact, c.workers, res.Stats.DistinctStates, base.Stats.DistinctStates)
 				}
-				if res.Stats.FaultSteps != base.Stats.FaultSteps {
+				if c.workers == 1 && res.Stats.FaultSteps != base.Stats.FaultSteps {
 					t.Errorf("exact=%v workers=%d: fault steps %d, want %d",
 						c.exact, c.workers, res.Stats.FaultSteps, base.Stats.FaultSteps)
 				}

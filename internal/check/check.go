@@ -218,7 +218,13 @@ type Stats struct {
 type Result struct {
 	Violations []Violation
 	Stats      Stats
-	Graph      *Graph // non-nil iff Options.CollectGraph
+	// Setup is the wall time from explorer construction to the first expanded
+	// node: the reducer's static facts, opening the stores and, on a resumed
+	// run, replaying the frontier. Part of Stats.Elapsed, not of Stats — a
+	// clock reading belongs in neither the resume-equivalence comparisons nor
+	// the checkpoint manifest.
+	Setup time.Duration
+	Graph *Graph // non-nil iff Options.CollectGraph
 	// StoreStats summarizes the tiered visited stores (both dictionaries
 	// combined); nil under ExactFingerprints, which bypasses the store.
 	StoreStats *store.Stats
@@ -304,6 +310,7 @@ func (o *Options) PORDisabledReason() string {
 
 // run dispatches to the configured search from the initial configuration.
 func (e *explorer) run(g *core.Global) error {
+	e.result.Setup = time.Since(e.start)
 	e.result.Stats.Workers = 1 // parallelLoop overwrites with the resolved count
 	switch e.opts.Mode {
 	case DepthBounded:
@@ -497,10 +504,7 @@ func (e *explorer) noteState(fp StateKey) bool {
 }
 
 func (e *explorer) addViolation(err *core.Err, trace []TraceStep) {
-	e.result.Violations = append(e.result.Violations, Violation{
-		Err:   err,
-		Trace: append([]TraceStep(nil), trace...),
-	})
+	e.result.Violations = append(e.result.Violations, Violation{Err: err, Trace: trace})
 	if e.opts.StopAtFirstError {
 		e.stop = true
 	}

@@ -554,6 +554,7 @@ func (e *explorer) replayNode(cn *ckptNode) (*core.Global, error) {
 // restore is uniform; fields a mode never set are zero in the checkpoint
 // and stay zero here.
 func (e *explorer) runFrom(nodes []ckptNode, globals []*core.Global) error {
+	e.result.Setup = time.Since(e.start)
 	e.result.Stats.Workers = 1 // parallelLoop overwrites with the resolved count
 	frontier := make([]node, len(nodes))
 	for i := range nodes {
@@ -573,7 +574,7 @@ func (e *explorer) runFrom(nodes []ckptNode, globals []*core.Global) error {
 			delays: cn.Delays,
 			faults: cn.Faults,
 			depth:  cn.Depth,
-			trace:  cn.Trace,
+			trace:  prefixOf(cn.Trace),
 		}
 	}
 	switch e.opts.Mode {
@@ -610,7 +611,7 @@ func ckptNodes(stack []node) []ckptNode {
 			}
 		}
 		out[i] = ckptNode{
-			Trace:  n.trace,
+			Trace:  n.trace.steps(),
 			Stack:  append([]core.MachineID(nil), n.stack...),
 			Cursor: n.cursor,
 			Sleep:  sleep,
@@ -622,4 +623,3 @@ func ckptNodes(stack []node) []ckptNode {
 	}
 	return out
 }
-

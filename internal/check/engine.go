@@ -28,7 +28,50 @@ type node struct {
 	delays int
 	faults int
 	depth  int
-	trace  []TraceStep
+	trace  *prefix // the schedule that reached g; nil at the initial node
+}
+
+// prefix is one immutable link of a node's counterexample prefix: the step
+// that produced the node and the link of the node it was taken from. Pushing
+// a successor allocates one link whatever the depth; siblings — and the
+// parallel workers expanding them — share their parent's chain, so a link is
+// never written after extend returns. A nil *prefix is the empty schedule.
+type prefix struct {
+	parent *prefix
+	step   TraceStep
+	length int
+}
+
+// extend returns the prefix p followed by step.
+func (p *prefix) extend(step TraceStep) *prefix {
+	return &prefix{parent: p, step: step, length: p.len() + 1}
+}
+
+func (p *prefix) len() int {
+	if p == nil {
+		return 0
+	}
+	return p.length
+}
+
+// steps materializes the schedule, oldest step first, as a slice the caller
+// owns. Only the consumers of whole schedules pay for it: a violation and a
+// checkpoint write.
+func (p *prefix) steps() []TraceStep {
+	out := make([]TraceStep, p.len())
+	for l := p; l != nil; l = l.parent {
+		out[l.length-1] = l.step
+	}
+	return out
+}
+
+// prefixOf links a materialized schedule back up (checkpoint restore).
+func prefixOf(steps []TraceStep) *prefix {
+	var p *prefix
+	for _, s := range steps {
+		p = p.extend(s)
+	}
+	return p
 }
 
 // move is one strategy-specific way to pick the next machine at a node.
@@ -49,7 +92,8 @@ type emitter interface {
 	// note registers a successor fingerprint in the distinct-state set,
 	// reporting whether it was globally new (this call inserted it).
 	note(fp StateKey) bool
-	// violation records an error outcome; trace is freshly allocated.
+	// violation records an error outcome; trace is freshly materialized and
+	// becomes the violation's.
 	violation(err *core.Err, trace []TraceStep)
 	countTransition()
 	markTruncated()
@@ -81,18 +125,18 @@ type serialEmitter struct {
 	frontier *[]node
 }
 
-func (s *serialEmitter) stopped() bool                                 { return s.e.stop }
-func (s *serialEmitter) note(fp StateKey) bool                         { return s.e.noteState(fp) }
-func (s *serialEmitter) violation(err *core.Err, trace []TraceStep)    { s.e.addViolation(err, trace) }
-func (s *serialEmitter) countTransition()                              { s.e.result.Stats.Transitions++ }
-func (s *serialEmitter) markTruncated()                                { s.e.result.Stats.Truncated = true }
-func (s *serialEmitter) quiescentNode()                                { s.e.result.Stats.Quiescent++ }
-func (s *serialEmitter) countFaultStep()                               { s.e.result.Stats.FaultSteps++ }
-func (s *serialEmitter) sleepSkips(n int)                              { s.e.result.Stats.AmpleSkips += n }
-func (s *serialEmitter) claimRace()                                    {}
-func (s *serialEmitter) tracksRaces() bool                             { return false }
-func (s *serialEmitter) graphNode(fp StateKey, g *core.Global) NodeID  { return s.e.graph.Node(fp, g) }
-func (s *serialEmitter) push(n node)                                   { *s.frontier = append(*s.frontier, n) }
+func (s *serialEmitter) stopped() bool                                { return s.e.stop }
+func (s *serialEmitter) note(fp StateKey) bool                        { return s.e.noteState(fp) }
+func (s *serialEmitter) violation(err *core.Err, trace []TraceStep)   { s.e.addViolation(err, trace) }
+func (s *serialEmitter) countTransition()                             { s.e.result.Stats.Transitions++ }
+func (s *serialEmitter) markTruncated()                               { s.e.result.Stats.Truncated = true }
+func (s *serialEmitter) quiescentNode()                               { s.e.result.Stats.Quiescent++ }
+func (s *serialEmitter) countFaultStep()                              { s.e.result.Stats.FaultSteps++ }
+func (s *serialEmitter) sleepSkips(n int)                             { s.e.result.Stats.AmpleSkips += n }
+func (s *serialEmitter) claimRace()                                   {}
+func (s *serialEmitter) tracksRaces() bool                            { return false }
+func (s *serialEmitter) graphNode(fp StateKey, g *core.Global) NodeID { return s.e.graph.Node(fp, g) }
+func (s *serialEmitter) push(n node)                                  { *s.frontier = append(*s.frontier, n) }
 
 func (s *serialEmitter) searchNode(depth int) {
 	s.e.result.Stats.SearchNodes++
@@ -441,7 +485,7 @@ func (e *explorer) processSuccs(em emitter, n *node, fromNode NodeID, mv *move, 
 			step.Event = s.outcome.SentEvent
 			step.HasEv = true
 		}
-		child.trace = appendStep(n.trace, step)
+		child.trace = n.trace.extend(step)
 		em.push(child)
 		r.pushed = true
 	}
@@ -494,7 +538,7 @@ func (e *explorer) processFaults(em emitter, n *node, fromNode NodeID, branches 
 			delays: n.delays,
 			faults: n.faults + 1,
 			depth:  n.depth + 1,
-			trace:  appendStep(n.trace, fb.step),
+			trace:  n.trace.extend(fb.step),
 		})
 		r.pushed = true
 	}
@@ -522,9 +566,9 @@ func (e *explorer) preclaimable(n *node, mv *move, succs []successor) []bool {
 }
 
 // expand runs machine id from g under every `*` choice string and returns
-// the successors. Errors are recorded as violations immediately (with a
-// freshly-allocated trace + the failing step).
-func (e *explorer) expand(em emitter, g *core.Global, id core.MachineID, trace []TraceStep, delays int) []successor {
+// the successors. Errors are recorded as violations immediately (the node's
+// schedule + the failing step, materialized here).
+func (e *explorer) expand(em emitter, g *core.Global, id core.MachineID, trace *prefix, delays int) []successor {
 	var succs []successor
 	cs := &core.FixedChoices{}
 	for tries := 0; ; tries++ {
@@ -551,7 +595,7 @@ func (e *explorer) expand(em emitter, g *core.Global, id core.MachineID, trace [
 				Choices: bits,
 				Outcome: out.Kind,
 			}
-			em.violation(out.Err, appendStep(trace, step))
+			em.violation(out.Err, trace.extend(step).steps())
 			if em.stopped() {
 				return succs
 			}
@@ -567,13 +611,4 @@ func (e *explorer) expand(em emitter, g *core.Global, id core.MachineID, trace [
 			return succs
 		}
 	}
-}
-
-// appendStep returns a fresh trace extending trace with step; frontier
-// traces share no backing arrays.
-func appendStep(trace []TraceStep, step TraceStep) []TraceStep {
-	out := make([]TraceStep, len(trace)+1)
-	copy(out, trace)
-	out[len(trace)] = step
-	return out
 }

@@ -169,8 +169,13 @@ func TestSimulateQuiescesOrErrors(t *testing.T) {
 // checkpoint drain protocol all interleave. Run under -race in CI, it
 // asserts the search never panics, that the ClaimRaces counter is wired
 // (zero in the serial twin, merely recorded in the parallel one — races are
-// scheduling-dependent), and that the verdict and distinct-state count
-// match the serial explorer's.
+// scheduling-dependent), and that the verdict and the set of violations
+// match the serial explorer's. The distinct-state count is not compared
+// with the serial reduced run: the visited-set cycle proviso accepts a
+// reduction or not depending on which successors were claimed first, so the
+// reduced state set depends on expansion order (boundedbuffer: serial 5828,
+// parallel sometimes 5829). What holds is that a reduced search, in any
+// order, visits a subset of the unreduced one.
 func TestParallelPORChaosCheckpointRace(t *testing.T) {
 	for _, name := range []string{"elevator-buggy", "boundedbuffer", "ring"} {
 		name := name
@@ -206,9 +211,18 @@ func TestParallelPORChaosCheckpointRace(t *testing.T) {
 			if serial.Errored() != par.Errored() {
 				t.Fatalf("verdicts differ: serial %v, parallel %v", serial.Errored(), par.Errored())
 			}
-			if serial.Stats.DistinctStates != par.Stats.DistinctStates {
-				t.Fatalf("states differ: serial %d, parallel %d",
-					serial.Stats.DistinctStates, par.Stats.DistinctStates)
+			if got, want := violationSet(par), violationSet(serial); !equalStrings(got, want) {
+				t.Fatalf("violation sets differ:\n  serial:   %v\n  parallel: %v", want, got)
+			}
+			full := base
+			full.POR = false
+			unreduced, err := check.Explore(prog, full)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if par.Stats.DistinctStates > unreduced.Stats.DistinctStates {
+				t.Fatalf("reduced parallel search saw %d states, more than the unreduced search's %d",
+					par.Stats.DistinctStates, unreduced.Stats.DistinctStates)
 			}
 		})
 	}

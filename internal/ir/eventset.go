@@ -69,14 +69,20 @@ func (s EventSet) Clone() EventSet {
 	return EventSet{words: w}
 }
 
-// UnionWith adds every element of t to s in place.
-func (s *EventSet) UnionWith(t EventSet) {
+// UnionWith adds every element of t to s in place and reports whether s
+// gained an element (what a fixpoint worklist needs to know).
+func (s *EventSet) UnionWith(t EventSet) bool {
+	grew := false
 	for i, w := range t.words {
 		for len(s.words) <= i {
 			s.words = append(s.words, 0)
 		}
-		s.words[i] |= w
+		if w&^s.words[i] != 0 {
+			s.words[i] |= w
+			grew = true
+		}
 	}
+	return grew
 }
 
 // Clear removes every element, keeping the allocated capacity.
@@ -89,12 +95,7 @@ func (s *EventSet) Clear() {
 // Union returns s ∪ t as a new set.
 func (s EventSet) Union(t EventSet) EventSet {
 	out := s.Clone()
-	for i, w := range t.words {
-		for len(out.words) <= i {
-			out.words = append(out.words, 0)
-		}
-		out.words[i] |= w
-	}
+	out.UnionWith(t)
 	return out
 }
 

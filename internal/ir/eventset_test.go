@@ -91,6 +91,15 @@ func TestEventSetAlgebra(t *testing.T) {
 				return false
 			}
 		}
+		// UnionWith is Union in place, and reports exactly whether the
+		// receiver gained an element.
+		w := sa.Clone()
+		if grew := w.UnionWith(sb); !w.Equal(u) || grew != (u.Len() > sa.Len()) {
+			return false
+		}
+		if w.UnionWith(sb) {
+			return false
+		}
 		// Operands unchanged (operations are functional).
 		return sa.Equal(a.set()) && sb.Equal(b.set())
 	}
